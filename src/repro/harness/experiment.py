@@ -6,7 +6,8 @@ For every output of a benchmark:
 2. compute the 0→1 approximation ``g`` by full pseudoproduct expansion
    (Section IV-A) and minimize it in 2-SPP form;
 3. compute the on/dc sets of the full quotient ``h`` for AND and 6⇒ with
-   the Table II formulas (OBDD operations);
+   the Table II formulas (set operations on the row's function
+   representation);
 4. minimize ``h`` in 2-SPP form;
 5. map the three-level forms of ``f``, ``g`` and the bi-decompositions
    onto the gate library and report areas and gains.
@@ -16,6 +17,12 @@ Steps 3–4 (and verification) run through the strategy-driven engine
 over as a ready :class:`~repro.engine.request.Divisor` so its minimized
 cover is reused.  Every decomposition is verified (``f = g op h`` on the
 care set) before areas are reported.
+
+Every step is backend-neutral.  A row whose declared width is within
+the calibrated bitset boundary (:func:`row_backend`) computes each
+output in a dense :class:`~repro.backend.bitset.BitsetBDD`; wider rows
+stay on the BDDs they were loaded in.  Covers, areas and error rates
+are identical on both backends.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ from dataclasses import dataclass, field
 
 from repro.approx.error import output_error_rate
 from repro.approx.expansion import approximate_expand_full
+from repro.backend.bitset import BitsetBDD
+from repro.backend.protocol import DEFAULT_BITSET_SUPPORT
+from repro.bdd.ops import transfer
 from repro.benchgen.registry import BenchmarkInstance, load_benchmark
 from repro.boolfunc.isf import ISF
 from repro.engine.decomposer import Decomposer, VerificationError
@@ -101,6 +111,18 @@ class BenchmarkResult:
         return self.op_gains["NOT_IMPLIES"]
 
 
+def row_backend(instance: BenchmarkInstance) -> str:
+    """Backend (``"bitset"`` or ``"bdd"``) a paper-table row computes in.
+
+    A dense table spans the row's whole declared space, so the rule is
+    the declared width against the calibrated support boundary, not
+    each output's support: ``opa`` declares 17 inputs and 68 of its 69
+    outputs have support <= 16, yet in 2^17-bit tables it ran slower
+    than on BDDs.
+    """
+    return "bitset" if instance.mgr.n_vars <= DEFAULT_BITSET_SUPPORT else "bdd"
+
+
 def run_benchmark(
     benchmark: str | BenchmarkInstance,
     operators: tuple[str, ...] = DEFAULT_OPERATORS,
@@ -133,7 +155,10 @@ def run_benchmark(
     policy = "aggressive" if arithmetic else "conservative"
     rounds = 2 if arithmetic else 1
 
+    dense = BitsetBDD(names) if row_backend(instance) == "bitset" else None
     for f in instance.outputs:
+        if dense is not None:
+            f = ISF(transfer(f.on, dense), transfer(f.dc, dense))
         f_cover = minimize_spp(f)
         f_covers.append(f_cover)
         with watch:
@@ -159,6 +184,10 @@ def run_benchmark(
         g_covers.append(approx.g_cover)
         error_pairs.append((f, g))
         artifacts.append(per_output)
+        if dense is not None:
+            # The product memo holds full 2^n-bit tables: kept across
+            # outputs it nearly triples spla's peak RSS (35 -> 97 MB).
+            dense.clear_caches()
 
     area_f = area_of_spp_covers(f_covers, names, library)
     area_g = area_of_spp_covers(g_covers, names, library)
@@ -359,12 +388,19 @@ def run_table(
     library: GateLibrary | None = None,
     names: list[str] | None = None,
 ) -> list[BenchmarkResult]:
-    """Run all benchmarks of paper Table III or IV (optionally a subset)."""
+    """Run all benchmarks of paper Table III or IV (optionally a subset).
+
+    Rows run in table order.  A name that is not a row of ``table``
+    raises :class:`KeyError` listing the table's rows.
+    """
     from repro.benchgen.registry import table_benchmarks
 
-    results = []
-    for spec in table_benchmarks(table):
-        if names is not None and spec.name not in names:
-            continue
-        results.append(run_benchmark(spec.name, operators, library))
-    return results
+    valid = [spec.name for spec in table_benchmarks(table)]
+    if names is not None:
+        unknown = [name for name in names if name not in valid]
+        if unknown:
+            raise KeyError(
+                f"not in Table {table}: {unknown}; valid rows: {valid}"
+            )
+        valid = [name for name in valid if name in names]
+    return [run_benchmark(name, operators, library) for name in valid]

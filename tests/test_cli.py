@@ -1,5 +1,9 @@
 """Smoke tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -42,6 +46,23 @@ def test_table_subset(capsys):
     out = capsys.readouterr().out
     assert "z4" in out
     assert "shape summary" in out
+
+
+def test_table_unknown_name_exits_1_listing_rows():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "table4", "--names", "z4x"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert "KeyError" in proc.stderr
+    assert "z4x" in proc.stderr and "'Z5xp1'" in proc.stderr
+    assert "TABLE IV" not in proc.stdout
+
+
+def test_table_rejects_row_of_other_table():
+    with pytest.raises(KeyError, match="chkn"):
+        main(["table4", "--names", "z4", "chkn"])
 
 
 def test_requires_command():

@@ -1,9 +1,15 @@
 """Tests for the experiment harness (Tables III/IV flow)."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.backend.bitset import BitsetBDD
 from repro.benchgen.paper_data import PAPER_ROWS
-from repro.harness.experiment import run_benchmark
+from repro.benchgen.registry import load_benchmark
+from repro.engine.wire import cover_to_payload
+from repro.harness.experiment import row_backend, run_benchmark
 from repro.harness.report import comparison_lines, shape_summary
 from repro.harness.tables import (
     render_table1,
@@ -117,3 +123,61 @@ def test_isolated_area_columns(z4_result):
 def test_render_results_table_has_sharing_columns(z4_result):
     text = render_table_results([z4_result], "IV")
     assert "F iso" in text and "Shr%" in text
+
+
+#: sha256 of each row's f/g/h cover payloads, network and isolated
+#: areas and error rate (:func:`_row_digest`), recorded with every row
+#: computed on BDDs.  Rows of <= 16 declared inputs compute in a dense
+#: bitset manager; the digests pin that the backend is invisible.
+GOLDEN_ROW_DIGESTS = {
+    "z4": "b098b1e4f4317b5c1ca698fc06042ffd3c4cd253172d80afc0c2b1ab710e73b3",
+    "radd": "843cc20f96c19caafbc8d954c9c0d0e8bd5e4281cf3f77658dd00070224e8870",
+    "adr4": "a6e0a36cc4afb96b3765953db9f4f13d14e374f7d8597856f4ccfcf4bd4e97f2",
+    "Z5xp1": "452c652dd88f3ede729c3d49eb75041f12862741bee36aa48251dec530749a17",
+    "newtpla2": "f642a5f97a4a34f9aadd1f40d0bdcaab35e910b99f260cba870a6c67b05aad8f",
+    "b7": "f123c939f910b71e17bc6a4ee59d1d61b3a0176083f5b013ba215cc44f4f4cce",
+}
+
+
+def _row_digest(result) -> str:
+    outputs = [
+        {
+            "f": cover_to_payload(artifacts.f_cover),
+            "g": cover_to_payload(artifacts.g_cover),
+            "h": {
+                op_name: cover_to_payload(cover)
+                for op_name, cover in sorted(artifacts.h_covers.items())
+            },
+        }
+        for artifacts in result.artifacts
+    ]
+    document = {
+        "outputs": outputs,
+        "area_f": result.area_f,
+        "op_areas": result.op_areas,
+        "area_f_isolated": result.area_f_isolated,
+        "op_areas_isolated": result.op_areas_isolated,
+        "pct_errors": result.pct_errors,
+    }
+    return hashlib.sha256(json.dumps(document, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ROW_DIGESTS))
+def test_rows_match_golden_digests(name):
+    result = run_benchmark(name, keep_artifacts=True)
+    assert _row_digest(result) == GOLDEN_ROW_DIGESTS[name]
+
+
+def test_narrow_rows_compute_in_bitset_manager(z4_result):
+    for artifacts in z4_result.artifacts:
+        assert isinstance(artifacts.f.mgr, BitsetBDD)
+        assert artifacts.g.mgr is artifacts.f.mgr
+
+
+@pytest.mark.parametrize(
+    "name, backend", [("spla", "bitset"), ("opa", "bdd"), ("bcb", "bdd")]
+)
+def test_row_backend_follows_declared_width(name, backend):
+    # spla declares exactly 16 inputs; opa declares 17 although most of
+    # its outputs have support <= 16, so the whole row stays on BDDs.
+    assert row_backend(load_benchmark(name)) == backend
