@@ -96,20 +96,9 @@ def _cmd_fig2(_args: argparse.Namespace) -> int:
 
 def _bench_result_dict(result) -> dict:
     """JSON-friendly view of a harness BenchmarkResult (no artifacts)."""
-    return {
-        "name": result.name,
-        "n_inputs": result.n_inputs,
-        "n_outputs": result.n_outputs,
-        "time_s": round(result.time_s, 6),
-        "area_f": result.area_f,
-        "area_g": result.area_g,
-        "pct_errors": result.pct_errors,
-        "pct_reduction": result.pct_reduction,
-        "op_areas": result.op_areas,
-        "op_gains": result.op_gains,
-        "area_f_isolated": result.area_f_isolated,
-        "op_areas_isolated": result.op_areas_isolated,
-    }
+    from repro.harness.experiment import _benchmark_result_payload
+
+    return {**_benchmark_result_payload(result), "time_s": round(result.time_s, 6)}
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -417,6 +417,17 @@ class ResultCache:
                 pass
         return payload
 
+    def demote_hit(self) -> None:
+        """Recount the last :meth:`get` hit as a corrupt miss.
+
+        For callers whose decode of a returned payload failed (a stale
+        field set, a corrupt inner payload): the entry was readable but
+        unusable, so it is recomputed like any other miss.
+        """
+        self.stats["hits"] -= 1
+        self.stats["misses"] += 1
+        self.stats["corrupt"] += 1
+
     def put(self, key: str, payload) -> None:
         """Store a JSON-ready payload under ``key``, crash-safely.
 

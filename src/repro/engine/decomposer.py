@@ -332,7 +332,6 @@ class Decomposer:
         cache: "ResultCache | str | None" = None,
         gc_threshold: int | None = 500_000,
         reorder_threshold: int | None = None,
-        executor: "object | None" = None,
     ) -> list[DecomposeResult]:
         """Decompose a batch of functions over one shared BDD manager.
 
@@ -374,17 +373,9 @@ class Decomposer:
         the rest).  The backend never enters cache keys or payloads:
         results are identical either way, so warm caches are shared
         across backends.
-
-        ``executor`` — a :class:`~repro.engine.parallel.WorkerPool` —
-        keeps one worker pool alive across ``decompose_many`` calls:
-        repeated batches skip the per-call fork + import warmup.  It
-        implies parallel dispatch (the executor's ``jobs`` count
-        applies) and has the same wire-safety requirements as
-        ``jobs > 1``.  Results are identical with or without it.
         """
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        parallel_dispatch = jobs > 1 or executor is not None
         labeled: list[tuple[str, ISF]] = []
         for index, item in enumerate(functions):
             if isinstance(item, tuple):
@@ -414,9 +405,9 @@ class Decomposer:
             and isinstance(approx_spec, str)
             and isinstance(min_spec, str)
         )
-        if parallel_dispatch and not wire_safe:
+        if jobs > 1 and not wire_safe:
             raise ValueError(
-                "decompose_many(jobs>1 or executor=) needs registry-name"
+                "decompose_many(jobs>1) needs registry-name"
                 " strategies and a named (or 'auto') operator — callables"
                 " and ready divisors cannot cross process boundaries"
             )
@@ -434,7 +425,7 @@ class Decomposer:
         payloads: list[dict | None] = [None] * len(batch)
         pending: list[int] = []
         for index, (label, isf, _) in enumerate(batch):
-            if result_cache is None and not parallel_dispatch:
+            if result_cache is None and jobs == 1:
                 pending.append(index)
                 continue
             payloads[index] = wire.isf_to_payload(isf)
@@ -457,9 +448,7 @@ class Decomposer:
                     continue
                 except SerializationError:
                     # Stale or corrupt inner payload: a miss, not an error.
-                    result_cache.stats["hits"] -= 1
-                    result_cache.stats["misses"] += 1
-                    result_cache.stats["corrupt"] += 1
+                    result_cache.demote_hit()
             self.stats["result_cache_misses"] += 1
             pending.append(index)
 
@@ -469,8 +458,12 @@ class Decomposer:
             if reorder_threshold is not None
             else self.reorder_threshold
         )
-        if pending and parallel_dispatch:
-            from repro.engine.parallel import make_work_item, run_parallel
+        if pending and jobs > 1:
+            from repro.engine.parallel import (
+                decompose_item,
+                make_work_item,
+                run_parallel,
+            )
 
             items = [
                 make_work_item(
@@ -488,7 +481,7 @@ class Decomposer:
             ]
             self.stats["dispatched"] += len(items)
             for index, payload in zip(
-                pending, run_parallel(items, jobs, pool=executor)
+                pending, run_parallel(decompose_item, items, jobs)
             ):
                 results[index] = wire.result_from_payload(
                     payload, self._batch_request(batch[index], op_spec,

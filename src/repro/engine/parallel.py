@@ -16,12 +16,14 @@ The bootstrap is split so long-lived workers (the service fleet of
 :func:`build_engine` constructs the engine an item asks for, and
 :func:`decompose_item` accepts an existing manager/engine pair — a
 pre-warmed worker skips manager construction and keeps the engine's
-divisor/cover memos across requests.  :class:`WorkerPool` keeps one
-``multiprocessing`` pool alive across :func:`run_parallel` calls, so
-repeated batches stop paying fork + import warmup every time.
+divisor/cover memos across requests.
 
-Worker exceptions (e.g. :class:`~repro.engine.decomposer.VerificationError`)
-propagate to the parent and fail the batch, matching the serial path.
+:func:`run_parallel` is the one pool for one-shot batches: it serves
+``decompose_many(jobs>1)`` and the paper-table rows of
+``run_benchmarks(jobs>1)`` alike.  Worker exceptions (e.g.
+:class:`~repro.engine.decomposer.VerificationError`) propagate to the
+parent with their own type and fail the batch, matching the serial
+path.
 """
 
 from __future__ import annotations
@@ -116,87 +118,31 @@ def decompose_item(item: dict, mgr=None, engine=None) -> dict:
     return wire.result_to_payload(result)
 
 
-def decompose_work_item(item: dict) -> dict:
-    """Worker entry point: one item, fresh manager and engine."""
-    return decompose_item(item)
-
-
 def pool_context() -> multiprocessing.context.BaseContext:
     """Prefer fork (cheap, POSIX) and fall back to the platform default."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-class WorkerPool:
-    """A persistent ``multiprocessing`` pool for repeated batches.
+def run_parallel(func, items: list, jobs: int) -> list:
+    """Map ``func`` over ``items`` on a fresh pool of ``jobs`` workers.
 
-    ``run_parallel`` (and therefore
-    :meth:`~repro.engine.decomposer.Decomposer.decompose_many`) creates
-    and tears down a pool per call; callers that dispatch many batches —
-    benchmark sweeps, the service layer — pass one of these instead and
-    pay fork + import warmup once.  The underlying pool is created
-    lazily on first use and survives until :meth:`close` (or context
-    exit).  Results are unchanged either way: the pool only affects
-    where work runs, never what it computes.
-    """
-
-    def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self._pool = None
-        #: Batches dispatched through this pool (reuse observability).
-        self.batches = 0
-
-    def map(self, func, items: list) -> list:
-        """Ordered map over the persistent pool (created on first use)."""
-        if self._pool is None:
-            self._pool = pool_context().Pool(processes=self.jobs)
-        self.batches += 1
-        return self._pool.map(func, items, chunksize=1)
-
-    def close(self) -> None:
-        """Terminate the worker processes (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "live" if self._pool is not None else "idle"
-        return f"WorkerPool(jobs={self.jobs}, {state}, batches={self.batches})"
-
-
-def run_parallel(
-    items: list[dict], jobs: int, pool: WorkerPool | None = None
-) -> list[dict]:
-    """Execute work items on a pool of ``jobs`` workers.
-
-    ``Pool.map`` returns results in submission order regardless of
-    worker scheduling, so reassembly is deterministic by construction.
-    With ``pool`` given, the batch runs on that persistent pool (its
-    ``jobs`` count applies) instead of a fresh fork-per-call pool.
+    The one process pool for one-shot batches: it forks
+    ``min(jobs, len(items))`` workers, hands them one item at a time and
+    tears them down on return.  ``Pool.map`` returns results in
+    submission order regardless of worker scheduling, so reassembly is
+    deterministic by construction, and a worker's exception is re-raised
+    here with its own type.
     """
     if not items:
         return []
-    if pool is not None:
-        return pool.map(decompose_work_item, items)
-    jobs = min(jobs, len(items))
-    with pool_context().Pool(processes=jobs) as mp_pool:
-        return mp_pool.map(decompose_work_item, items, chunksize=1)
+    with pool_context().Pool(processes=min(jobs, len(items))) as pool:
+        return pool.map(func, items, chunksize=1)
 
 
 __all__ = [
-    "WorkerPool",
     "build_engine",
     "decompose_item",
-    "decompose_work_item",
     "engine_spec_key",
     "make_work_item",
     "pool_context",

@@ -327,7 +327,6 @@ def _run_benchmark_payload(task: tuple[str, tuple[str, ...]]) -> dict:
 def run_benchmarks(
     names: list[str],
     operators: tuple[str, ...] = DEFAULT_OPERATORS,
-    library: GateLibrary | None = None,
     jobs: int = 1,
     cache_dir: str | None = None,
 ) -> list[BenchmarkResult]:
@@ -336,16 +335,14 @@ def run_benchmarks(
     Results come back in the order of ``names``.  With ``cache_dir``
     set, finished rows are stored on disk keyed by ``(benchmark,
     operators)`` and a warm re-run is served entirely from the cache
-    (the cached ``time_s`` is the original measurement).  A custom
-    ``library`` disables both the cache and the worker pool: the row
-    keys would not describe it, and it may not cross process boundaries.
+    (the cached ``time_s`` is the original measurement).  ``jobs > 1``
+    runs the pending rows on :func:`repro.engine.parallel.run_parallel`;
+    a row's exception reaches the caller with its own type either way.
     """
     from repro.engine.cache import ResultCache
 
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if library is not None:
-        return [run_benchmark(name, operators, library) for name in names]
 
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     results: list[BenchmarkResult | None] = [None] * len(names)
@@ -361,37 +358,33 @@ def run_benchmarks(
                     continue
                 except TypeError:
                     # Stale field set (older/newer writer): recompute.
-                    cache.stats["hits"] -= 1
-                    cache.stats["misses"] += 1
-                    cache.stats["corrupt"] += 1
+                    cache.demote_hit()
         pending.append(index)
 
-    if pending:
-        tasks = [(names[index], tuple(operators)) for index in pending]
-        if jobs > 1:
-            from repro.engine.parallel import pool_context
+    tasks = [(names[index], tuple(operators)) for index in pending]
+    if jobs > 1:
+        from repro.engine.parallel import run_parallel
 
-            with pool_context().Pool(processes=min(jobs, len(tasks))) as pool:
-                payloads = pool.map(_run_benchmark_payload, tasks, chunksize=1)
-        else:
-            payloads = [_run_benchmark_payload(task) for task in tasks]
-        for index, payload in zip(pending, payloads):
-            results[index] = BenchmarkResult(**payload)
-            if cache is not None:
-                cache.put(keys[index], payload)
+        payloads = run_parallel(_run_benchmark_payload, tasks, jobs)
+    else:
+        payloads = [_run_benchmark_payload(task) for task in tasks]
+    for index, payload in zip(pending, payloads):
+        results[index] = BenchmarkResult(**payload)
+        if cache is not None:
+            cache.put(keys[index], payload)
     return results
 
 
 def run_table(
     table: str,
     operators: tuple[str, ...] = DEFAULT_OPERATORS,
-    library: GateLibrary | None = None,
     names: list[str] | None = None,
 ) -> list[BenchmarkResult]:
     """Run all benchmarks of paper Table III or IV (optionally a subset).
 
-    Rows run in table order.  A name that is not a row of ``table``
-    raises :class:`KeyError` listing the table's rows.
+    Rows run in table order through :func:`run_benchmarks`.  A name that
+    is not a row of ``table`` raises :class:`KeyError` listing the
+    table's rows.
     """
     from repro.benchgen.registry import table_benchmarks
 
@@ -403,4 +396,4 @@ def run_table(
                 f"not in Table {table}: {unknown}; valid rows: {valid}"
             )
         valid = [name for name in valid if name in names]
-    return [run_benchmark(name, operators, library) for name in valid]
+    return run_benchmarks(valid, operators)

@@ -199,6 +199,8 @@ class NetworkSynthesizer:
         instantiates exactly the cover a cold run would compute and the
         synthesized network is identical either way.
         """
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
         with _obs_span("netsyn.synthesize", name=getattr(instance, "name", "")) as sp:
             result = self._synthesize(instance, jobs, cache, pool_seed, collect_covers)
             sp.annotate(
@@ -234,9 +236,7 @@ class NetworkSynthesizer:
                     cached.cached = True
                     return cached
                 except SerializationError:
-                    result_cache.stats["hits"] -= 1
-                    result_cache.stats["misses"] += 1
-                    result_cache.stats["corrupt"] += 1
+                    result_cache.demote_hit()
 
         t0 = perf_counter()
         network = LogicNetwork(list(instance.mgr.var_names))

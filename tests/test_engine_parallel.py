@@ -328,54 +328,14 @@ def test_random_strategy_identical_across_workers_and_serial(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Persistent executor (WorkerPool)
+# Paper-table rows on the one-shot pool
 # ---------------------------------------------------------------------------
 
 
-def test_persistent_executor_matches_serial_and_is_reused():
-    from repro.engine.parallel import WorkerPool
+def test_parallel_bench_reraises_worker_exception_type():
+    """A row's exception crosses the pool with its own type: callers such
+    as the benchmark's set-up-only launches depend on it."""
+    from repro.harness.experiment import run_benchmarks
 
-    batch = _batch(count=4)
-    serial = Decomposer().decompose_many(batch, op="AND")
-    with WorkerPool(2) as pool:
-        first = Decomposer().decompose_many(batch, op="AND", executor=pool)
-        live = pool._pool
-        assert live is not None
-        second = Decomposer().decompose_many(batch, op="AND", executor=pool)
-        # Same underlying multiprocessing pool across both batches: no
-        # re-fork between calls.
-        assert pool._pool is live
-        assert pool.batches == 2
-    assert _signature(first) == _signature(serial)
-    assert _signature(second) == _signature(serial)
-    assert pool._pool is None  # context exit tears the workers down
-
-
-def test_persistent_executor_implies_parallel_dispatch():
-    from repro.engine.parallel import WorkerPool
-
-    batch = _batch(count=2)
-    engine = Decomposer()
-    with WorkerPool(2) as pool:
-        # jobs defaults to 1: the executor alone must route through the
-        # worker pool (dispatched counts worker-bound items).
-        engine.decompose_many(batch, op="AND", executor=pool)
-    assert engine.stats["dispatched"] == len(batch)
-
-
-def test_persistent_executor_rejects_callable_strategies():
-    from repro.engine.parallel import WorkerPool
-
-    batch = _batch(count=2)
-    with WorkerPool(2) as pool:
-        with pytest.raises(ValueError, match="cannot cross process boundaries"):
-            Decomposer().decompose_many(
-                batch, op="AND", approximator=lambda f, op: f.on, executor=pool
-            )
-
-
-def test_worker_pool_rejects_nonpositive_jobs():
-    from repro.engine.parallel import WorkerPool
-
-    with pytest.raises(ValueError, match="jobs"):
-        WorkerPool(0)
+    with pytest.raises(KeyError, match="unknown benchmark 'z4x'"):
+        run_benchmarks(["z4", "z4x"], jobs=2)

@@ -243,6 +243,12 @@ def test_synthesizer_rejects_none_minimizer():
         NetworkSynthesizer(NetsynConfig(minimizer="none"))
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_synthesize_rejects_nonpositive_jobs(jobs):
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        synthesize_instance(load_benchmark("z4"), jobs=jobs)
+
+
 # ---------------------------------------------------------------------------
 # Wire round trips + cache
 # ---------------------------------------------------------------------------
