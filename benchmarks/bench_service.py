@@ -594,12 +594,11 @@ def _chaos_replay(seed: int, items: list[dict]) -> tuple[tuple, tuple]:
     """
     import asyncio
 
+    from repro import obs
     from repro.service import DecompositionService
-    from repro.service import faults
-    from repro.service.faults import FaultPlan
 
-    plan = FaultPlan.generate(seed, n_events=3, max_hit=5)
-    with faults.installed(plan):
+    plan = obs.FaultPlan.generate(seed, n_events=3, max_hit=5)
+    with obs.installed(plan):
         # The plan must be live before the fleet forks so workers
         # inherit it; that is how worker-side faults get delivered.
         service = DecompositionService(jobs=1, timeout_s=30.0)

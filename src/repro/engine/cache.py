@@ -34,7 +34,7 @@ journal records fail their CRC and are quarantined, never replayed.
 
 The named ``cache.put.*`` fault-injection sites between those steps let
 the chaos suite SIGKILL a sacrificial writer at every crash point and
-assert the contract holds (see :mod:`repro.service.faults`).
+assert the contract holds (see :mod:`repro.obs.faults`).
 """
 
 from __future__ import annotations
@@ -42,14 +42,13 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import sys
 import time
 import uuid
 import zlib
 from pathlib import Path
 
 from repro.bdd.serialize import canonical_hash
-from repro.obs.trace import span as _obs_span
+from repro.obs.trace import fire as _obs_fire, span as _obs_span
 
 #: On-disk entry wrapper identifier; bump on any incompatible change.
 #: (Also folded into every cache *key*, so bumping it invalidates the
@@ -61,19 +60,6 @@ JOURNAL_FORMAT = "repro-cache-journal/1"
 
 #: Temp files older than this (seconds) are orphans from dead writers.
 STALE_TEMP_AGE_S = 3600.0
-
-
-def _fire(site: str, **context) -> None:
-    """Fault-injection hook, zero-cost unless the chaos layer is loaded.
-
-    The engine must not import :mod:`repro.service` (the dependency
-    points the other way), so the hook looks the module up instead: if
-    ``repro.service.faults`` was never imported, no plan can be
-    installed and there is nothing to fire.
-    """
-    faults = sys.modules.get("repro.service.faults")
-    if faults is not None:
-        faults.fire(site, **context)
 
 
 def _crc_text(text: str) -> str:
@@ -455,7 +441,7 @@ class ResultCache:
             sort_keys=True,
             separators=(",", ":"),
         )
-        _fire("cache.put.serialized", key=key)
+        _obs_fire("cache.put.serialized", key=key)
         journal = self.journal_path(key)
         journal.parent.mkdir(parents=True, exist_ok=True)
         record = json.dumps(
@@ -472,12 +458,12 @@ class ResultCache:
             journal_tmp = self._tmp_name(journal)
             _write_durable(journal_tmp, record)
             os.replace(journal_tmp, journal)
-        _fire("cache.put.journaled", key=key)
+        _obs_fire("cache.put.journaled", key=key)
         tmp = self._tmp_name(path)
         _write_durable(tmp, text)
-        _fire("cache.put.entry_written", key=key)
+        _obs_fire("cache.put.entry_written", key=key)
         os.replace(tmp, path)
-        _fire("cache.put.renamed", key=key)
+        _obs_fire("cache.put.renamed", key=key)
         try:
             journal.unlink()
         except OSError:

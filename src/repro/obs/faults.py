@@ -5,28 +5,16 @@ self-healing, coalesced-flight error sharing, crash-safe cache writes —
 was pinned by hand-scripted kills in the tests and the benchmark.  That
 covers the faults someone thought to script, at the moments they thought
 to script them.  A :class:`FaultPlan` turns the failure space into a
-*seeded, replayable schedule*: named **sites** in the serving stack call
-:func:`fire` as they pass, and the installed plan decides — purely from
-its seed and per-site hit counters — whether that particular passage
-dies, hangs, or errors.  Replaying the same plan replays the same
-faults at the same points, so a chaos failure reproduces from nothing
-but its seed.
+*seeded, replayable schedule*: every site of :data:`repro.obs.SITES`
+delivers its passages to the installed plan, which decides — purely
+from its seed and per-site hit counters — whether that passage dies,
+hangs, or errors.  Replaying the same plan replays the same faults at
+the same points, so a chaos failure reproduces from nothing but its
+seed.
 
-Sites (the stable names the stack exposes; grep for ``faults.fire``):
-
-========================== ==================================================
-``fleet.call.sent``         parent side, request written, reply not yet read
-                            (``slot`` in context — kill / drop targets)
-``fleet.checkout``          a dispatch acquired a slot
-``worker.compute``          worker side, inside an entry point, before work
-``coalesce.flight``         a new flight task is being created (leader path)
-``server.compute.start``    flight body entered, before the cache lookup
-``server.compute.computed`` fleet replied ok, before the cache write
-``cache.put.serialized``    entry text built, nothing on disk yet
-``cache.put.journaled``     journal record durably committed (fsync+rename)
-``cache.put.entry_written`` entry temp written + fsynced, not yet renamed
-``cache.put.renamed``       entry renamed into place, journal not yet cleared
-========================== ==================================================
+Only ``fleet.call.sent`` passes a context (``slot``, the parent-side
+slot object); span sites fire with none, so span attributes never reach
+an action.
 
 Actions:
 
@@ -44,10 +32,10 @@ Actions:
   :func:`FaultPlan.arm_crashes` so an accidentally installed plan can
   never kill a test runner or server.
 
-The hook is zero-cost when off: :func:`fire` reads one module global
-and returns.  Plans install process-wide (:func:`install`), so a fleet
-forked *after* install carries the plan into its workers — that is how
-``worker.compute`` events reach the other side of the pipe.
+Plans install process-wide through :func:`repro.obs.install`, next to
+the tracer, so a fleet forked *after* install carries the plan into its
+workers — that is how ``worker.compute`` events reach the other side of
+the pipe.
 """
 
 from __future__ import annotations
@@ -57,25 +45,16 @@ import random
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-#: Sites a generated plan may target (hand-built plans can name others).
-KNOWN_SITES = (
-    "fleet.call.sent",
-    "fleet.checkout",
-    "worker.compute",
-    "coalesce.flight",
-    "server.compute.start",
-    "server.compute.computed",
-    "cache.put.serialized",
-    "cache.put.journaled",
-    "cache.put.entry_written",
-    "cache.put.renamed",
-)
+from repro.obs.trace import SITES
 
 #: Actions :meth:`FaultPlan.generate` draws from (no ``crash`` — killing
 #: the current process is opt-in via an explicit event + arm_crashes).
 GENERATED_ACTIONS = ("kill-worker", "sleep", "error", "drop-pipe")
+
+#: Every action a plan may schedule.
+ACTIONS = GENERATED_ACTIONS + ("crash",)
 
 
 class InjectedFault(Exception):
@@ -107,6 +86,11 @@ class FaultPlan:
     """
 
     def __init__(self, events: tuple[FaultEvent, ...] = (), seed: int | None = None) -> None:
+        for event in events:
+            if event.action not in ACTIONS:
+                raise ValueError(
+                    f"unknown fault action {event.action!r}; known: {ACTIONS}"
+                )
         self.events = tuple(events)
         self.seed = seed
         self._lock = threading.Lock()
@@ -120,7 +104,7 @@ class FaultPlan:
     def generate(
         cls,
         seed: int,
-        sites: tuple[str, ...] = KNOWN_SITES,
+        sites: tuple[str, ...] = SITES,
         n_events: int = 4,
         max_hit: int = 6,
         sleep_s: float = 0.05,
@@ -174,9 +158,8 @@ class FaultPlan:
                 and event.hit == hit
                 and index not in self._fired
             ]
-            for index, _ in due:
-                self._fired.add(index)
             for index, event in due:
+                self._fired.add(index)
                 self.log.append((site, hit, event.action))
         for _, event in due:
             self._act(event, context)
@@ -202,11 +185,8 @@ class FaultPlan:
                     slot.conn.close()
                 except OSError:
                     pass
-        elif event.action == "crash":
-            if self._crashes_armed:
-                os.kill(os.getpid(), signal.SIGKILL)
-        else:
-            raise ValueError(f"unknown fault action {event.action!r}")
+        elif self._crashes_armed:  # "crash"
+            os.kill(os.getpid(), signal.SIGKILL)
 
     def fired(self) -> int:
         """How many scheduled events have been delivered so far."""
@@ -220,69 +200,10 @@ class FaultPlan:
         )
 
 
-#: The process-wide installed plan (None = injection off everywhere).
-_PLAN: FaultPlan | None = None
-
-
-def install(plan: FaultPlan | None) -> FaultPlan | None:
-    """Install ``plan`` process-wide; returns the previous plan.
-
-    Install *before* constructing a fleet so forked workers inherit it
-    (their ``worker.compute`` counters start at zero).
-    """
-    global _PLAN
-    previous = _PLAN
-    _PLAN = plan
-    return previous
-
-
-def uninstall() -> None:
-    """Remove any installed plan (idempotent)."""
-    install(None)
-
-
-def active() -> FaultPlan | None:
-    """The currently installed plan, if any."""
-    return _PLAN
-
-
-def fire(site: str, **context) -> None:
-    """Injection hook: a no-op unless a plan is installed."""
-    plan = _PLAN
-    if plan is not None:
-        plan.fire(site, **context)
-
-
-class installed:
-    """Context manager: install a plan, restore the previous on exit.
-
-    The chaos tests' idiom::
-
-        with faults.installed(FaultPlan.generate(seed=1)):
-            ... drive the service ...
-    """
-
-    def __init__(self, plan: FaultPlan) -> None:
-        self.plan = plan
-        self._previous: FaultPlan | None = None
-
-    def __enter__(self) -> FaultPlan:
-        self._previous = install(self.plan)
-        return self.plan
-
-    def __exit__(self, *exc_info) -> None:
-        install(self._previous)
-
-
 __all__ = [
+    "ACTIONS",
     "GENERATED_ACTIONS",
-    "KNOWN_SITES",
     "FaultEvent",
     "FaultPlan",
     "InjectedFault",
-    "active",
-    "fire",
-    "install",
-    "installed",
-    "uninstall",
 ]

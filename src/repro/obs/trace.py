@@ -1,9 +1,10 @@
-"""Contextvar-scoped span tracing with fork/pipe-crossing support.
+"""Contextvar-scoped span tracing and the process-wide site hook.
 
-One :class:`Tracer` is installed process-wide (:func:`install`), exactly
-like :func:`repro.service.faults.install`: forked fleet workers inherit
-it, and when none is installed every instrumented site degrades to a
-shared no-op singleton whose entire cost is a module-global read.
+A :class:`Tracer` and a :class:`~repro.obs.faults.FaultPlan` install
+here side by side (:func:`install`); forked fleet workers inherit both.
+A site opens a span (:func:`span` fires the plan for it, then opens the
+span) or, where nothing is timed, calls :func:`fire`.  With nothing
+installed a span is a shared no-op singleton, costing two global reads.
 
 Spans form trees: the first span opened in a context starts a new
 trace; nested spans (same task, thread, or ``contextvars`` copy) become
@@ -30,8 +31,12 @@ import itertools
 import os
 import threading
 import time
+from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
+
+if TYPE_CHECKING:
+    from repro.obs.faults import FaultPlan
 
 #: The span clock.  ``time.perf_counter`` is CLOCK_MONOTONIC on Linux:
 #: system-wide, unaffected by clock steps, and valid across ``fork()``
@@ -41,11 +46,11 @@ CLOCK: Callable[[], float] = time.perf_counter
 #: Span statuses a site may report.
 STATUSES = ("ok", "error", "timeout")
 
-#: Every named site instrumented across the stack (mirrors and extends
-#: the ``repro.service.faults.KNOWN_SITES`` failure sites).  Purely
-#: documentation — :func:`span` accepts any name so new sites never
-#: need a registry edit.
-SPAN_SITES = (
+#: Every named site across the stack: one vocabulary for spans, fault
+#: plans, histograms and bench breakdowns (any other name works too).
+#: :meth:`~repro.obs.faults.FaultPlan.generate` draws from it by default,
+#: so the fault sites must keep their relative order.
+SITES = (
     "server.request",
     "server.admission",
     "coalesce.leader",
@@ -53,9 +58,18 @@ SPAN_SITES = (
     "cache.get",
     "cache.put",
     "cache.journal",
+    "fleet.call.sent",  # point site, fired with the slot in context
     "fleet.checkout",
     "fleet.roundtrip",
     "worker.compute",
+    # point sites: the coalescer flight boundary, the cache-write steps
+    "coalesce.flight",
+    "server.compute.start",
+    "server.compute.computed",
+    "cache.put.serialized",
+    "cache.put.journaled",
+    "cache.put.entry_written",
+    "cache.put.renamed",
     "engine.dispatch",
     "engine.approximate",
     "engine.quotient",
@@ -202,14 +216,17 @@ class Tracer:
         }
         with self._lock:
             self.spans_finished += 1
-            bucket = self._by_trace.get(span.trace_id)
-            if bucket is None:
-                while len(self._by_trace) >= self.capacity:
-                    oldest = next(iter(self._by_trace))
-                    del self._by_trace[oldest]
-                    self.traces_dropped += 1
-                bucket = self._by_trace[span.trace_id] = []
-            bucket.append(payload)
+            self._bucket(span.trace_id).append(payload)
+
+    def _bucket(self, trace_id: str) -> list[dict]:
+        """Span list of ``trace_id``; a new trace evicts the oldest (lock held)."""
+        bucket = self._by_trace.get(trace_id)
+        if bucket is None:
+            while len(self._by_trace) >= self.capacity:
+                del self._by_trace[next(iter(self._by_trace))]
+                self.traces_dropped += 1
+            bucket = self._by_trace[trace_id] = []
+        return bucket
 
     # -- harvesting -----------------------------------------------------
 
@@ -226,7 +243,7 @@ class Tracer:
                 if not isinstance(trace_id, str):
                     continue
                 self.spans_finished += 1
-                self._by_trace.setdefault(trace_id, []).append(payload)
+                self._bucket(trace_id).append(payload)
 
     def remote(self, ctx: dict) -> "_RemoteScope":
         """Graft spans opened inside the scope under a shipped parent.
@@ -278,22 +295,38 @@ class _RemoteScope:
         return False
 
 
-# -- process-wide installation (mirrors repro.service.faults) -----------
+# -- the process-wide site hook -----------------------------------------
 
 _TRACER: Tracer | None = None
+_PLAN: FaultPlan | None = None
 
 
-def install(tracer: Tracer | None = None) -> Tracer:
-    """Install ``tracer`` (or a fresh one) process-wide and return it."""
-    global _TRACER
-    _TRACER = tracer if tracer is not None else Tracer()
-    return _TRACER
+def _swap(hook: Tracer | FaultPlan | None, tracer_slot: bool):
+    """Put ``hook`` in the tracer or plan slot; return the slot's old value."""
+    global _TRACER, _PLAN
+    if tracer_slot:
+        previous, _TRACER = _TRACER, hook
+    else:
+        previous, _PLAN = _PLAN, hook
+    return previous
+
+
+def install(hook: Tracer | FaultPlan | None = None) -> Tracer | FaultPlan:
+    """Install a :class:`Tracer` or a ``FaultPlan`` process-wide; return it.
+
+    With no argument, installs and returns a fresh :class:`Tracer`.
+    Install before constructing a fleet so forked workers inherit it
+    (their plan counters start from the parent's, zero before traffic).
+    """
+    hook = Tracer() if hook is None else hook
+    _swap(hook, isinstance(hook, Tracer))
+    return hook
 
 
 def uninstall() -> None:
-    """Remove the installed tracer; every site reverts to a no-op."""
-    global _TRACER
-    _TRACER = None
+    """Remove the tracer and the plan; every site reverts to a no-op."""
+    global _TRACER, _PLAN
+    _TRACER = _PLAN = None
 
 
 def active() -> Tracer | None:
@@ -301,29 +334,47 @@ def active() -> Tracer | None:
     return _TRACER
 
 
-class installed:
-    """Context manager: install a tracer, uninstall on exit.
+def active_plan() -> FaultPlan | None:
+    """Return the installed fault plan, or ``None``."""
+    return _PLAN
 
-    ::
 
-        with obs.installed(Tracer()) as tracer:
-            ...  # every span site records into `tracer`
+@contextmanager
+def installed(hook: Tracer | FaultPlan | None = None):
+    """Install ``hook`` for the scope; restore the previous one on exit.
+
+    ``hook`` is a :class:`Tracer` (a fresh one by default) or a
+    ``FaultPlan``; each kind restores only its own slot, so the two
+    nest freely::
+
+        with obs.installed(FaultPlan.generate(seed=1)):
+            with obs.installed() as tracer:
+                ...  # faults fire and spans record into `tracer`
     """
+    hook = Tracer() if hook is None else hook
+    tracer_slot = isinstance(hook, Tracer)
+    previous = _swap(hook, tracer_slot)
+    try:
+        yield hook
+    finally:
+        _swap(previous, tracer_slot)
 
-    def __init__(self, tracer: Tracer | None = None) -> None:
-        self.tracer = tracer if tracer is not None else Tracer()
 
-    def __enter__(self) -> Tracer:
-        install(self.tracer)
-        return self.tracer
-
-    def __exit__(self, *exc_info: object) -> bool:
-        uninstall()
-        return False
+def fire(site: str, **context: object) -> None:
+    """A point site: deliver ``site`` to the installed plan, if any."""
+    plan = _PLAN
+    if plan is not None:
+        plan.fire(site, **context)
 
 
 def span(site: str, **attrs: object):
-    """Open a span at ``site`` (the no-op singleton when tracing is off)."""
+    """Fire the plan for ``site``, then open a span there.
+
+    The plan fires with no context, so span attributes never reach a
+    fault action.  With no tracer installed the span is the shared
+    no-op singleton.
+    """
+    fire(site)
     tracer = _TRACER
     if tracer is None:
         return _NULL

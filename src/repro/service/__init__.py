@@ -9,15 +9,15 @@ and synthesizers warm across requests.  Results are byte-identical to
 in-process runs (informational counters aside) — the service changes
 *where and how often* work runs, never what it computes.
 
-The chaos layer (:mod:`repro.service.faults`) makes the stack's failure
-handling testable by schedule: a seeded :class:`FaultPlan` installed
-process-wide delivers worker kills, pipe drops, slow responses, and
-cache-write crashes at named sites, deterministically.
+The stack's failure handling is testable by schedule: a seeded
+:class:`FaultPlan` installed process-wide through :mod:`repro.obs`
+delivers worker kills, pipe drops, slow responses, and cache-write
+crashes at named sites, deterministically.
 """
 
+from repro.obs.faults import FaultEvent, FaultPlan, InjectedFault
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.coalesce import Coalescer
-from repro.service.faults import FaultEvent, FaultPlan, InjectedFault
 from repro.service.fleet import FleetTimeout, WorkerCrashed, WorkerFleet
 from repro.service.metrics import render_prometheus
 from repro.service.server import (

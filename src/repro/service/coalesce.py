@@ -25,7 +25,6 @@ import asyncio
 from typing import Awaitable, Callable
 
 from repro.obs import trace as _obs
-from repro.service import faults
 
 
 class Coalescer:
@@ -60,22 +59,18 @@ class Coalescer:
         # Chaos window: failing the leader *here* — after the key was
         # checked but before the flight exists — must not poison the key
         # for later arrivals (nothing was registered yet).
-        faults.fire("coalesce.flight", key=key)
-        loop = asyncio.get_running_loop()
-        if _obs.active() is not None:
+        _obs.fire("coalesce.flight", key=key)
 
-            async def traced_compute():
-                # create_task copied the leader's context, so this span —
-                # and every compute span beneath it — nests under the
-                # leader's request trace even though the flight task is
-                # detached from (and outlives) its waiters.
-                with _obs.span("coalesce.leader", key=key[:16]):
-                    return await compute()
+        async def traced_compute():
+            # create_task copied the leader's context, so this span — and
+            # every compute span beneath it — nests under the leader's
+            # request trace even though the flight task is detached from
+            # (and outlives) its waiters.
+            with _obs.span("coalesce.leader", key=key[:16]):
+                return await compute()
 
-            flight = loop.create_task(traced_compute())
-            flight._obs_trace_id = _obs.current_trace_id()
-        else:
-            flight = loop.create_task(compute())
+        flight = asyncio.get_running_loop().create_task(traced_compute())
+        flight._obs_trace_id = _obs.current_trace_id()
         self._inflight[key] = flight
         self.stats["leaders"] += 1
 

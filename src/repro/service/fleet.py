@@ -69,7 +69,6 @@ from repro.engine.parallel import (
     pool_context,
 )
 from repro.obs import trace as _obs
-from repro.service import faults
 
 #: Combined live-node budget across one worker's warm managers; crossing
 #: it drops all warm state (managers, engines, synthesizers, instances).
@@ -216,7 +215,6 @@ def service_decompose(item: dict) -> dict:
     or an ``ok: False`` envelope carrying the exception type/message.
     """
     try:
-        faults.fire("worker.compute", entry="decompose")
         with _obs.span("worker.compute", entry="decompose"):
             _maybe_refresh()
             mgr = _warm_manager(tuple(item["f"]["vars"]))
@@ -305,7 +303,6 @@ def service_netsyn(task: dict) -> dict:
     from repro.engine import wire
 
     try:
-        faults.fire("worker.compute", entry="netsyn")
         with _obs.span("worker.compute", entry="netsyn"):
             _maybe_refresh()
             config = _netsyn_config(task.get("config") or {})
@@ -430,7 +427,7 @@ class _Slot:
             return ("dead", f"slot {self.index}: send failed, worker is gone")
         # Chaos window: the request is written, the reply is not read —
         # the installed plan may kill this worker or drop this pipe here.
-        faults.fire("fleet.call.sent", slot=self)
+        _obs.fire("fleet.call.sent", slot=self)
         try:
             if not self.conn.poll(timeout_s):
                 return ("timeout", None)
@@ -548,19 +545,14 @@ class WorkerFleet:
         """
         loop = asyncio.get_running_loop()
         self.stats["dispatched"] += 1
-        if _obs.active() is not None:
-            # run_in_executor does not propagate contextvars (unlike
-            # asyncio.to_thread), so the caller's span context must ride
-            # to the dispatch thread explicitly for worker spans to nest
-            # under the request's trace.
-            ctx = contextvars.copy_context()
-            reply = await loop.run_in_executor(
-                self._threads, ctx.run, self._dispatch, func, arg, timeout_s
-            )
-        else:
-            reply = await loop.run_in_executor(
-                self._threads, self._dispatch, func, arg, timeout_s
-            )
+        # run_in_executor does not propagate contextvars (unlike
+        # asyncio.to_thread), so the caller's span context must ride to
+        # the dispatch thread explicitly for worker spans to nest under
+        # the request's trace.
+        ctx = contextvars.copy_context()
+        reply = await loop.run_in_executor(
+            self._threads, ctx.run, self._dispatch, func, arg, timeout_s
+        )
         if not reply.get("ok", False):
             self.stats["failures"] += 1
         return reply
@@ -579,7 +571,6 @@ class WorkerFleet:
             slot = self._checkout()
             sp.annotate(slot=slot.index)
         try:
-            faults.fire("fleet.checkout", slot=slot)
             with _obs.span("fleet.roundtrip", slot=slot.index) as sp:
                 sp.annotate(pid=slot.pid)
                 outcome, detail = slot.call(func, arg, timeout_s)

@@ -62,7 +62,7 @@ Chaos sites: ``server.compute.start`` fires as a flight body enters
 (before the cache lookup) and ``server.compute.computed`` after the
 fleet replied ok but before the cache write — the two yield points where
 killing a coalesced flight's leader must fail every follower with a
-typed error *without* poisoning the key (see :mod:`repro.service.faults`).
+typed error *without* poisoning the key (see :mod:`repro.obs.faults`).
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ from repro.netsyn.pool import DivisorPool
 from repro.obs import trace as _obs
 from repro.obs.hist import LatencyHistograms
 from repro.obs.store import ORDERS, TraceStore
-from repro.service import faults
 from repro.service.coalesce import Coalescer
 from repro.service.fleet import (
     FleetTimeout,
@@ -255,10 +254,8 @@ class DecompositionService:
         finished span tree — including worker-side spans absorbed across
         the fleet pipe — is reassembled into :attr:`traces`, folded into
         the latency histograms, and slow requests are logged.  Without a
-        tracer this wrapper is a single module-global read.
+        tracer the root span is the shared no-op.
         """
-        if _obs.active() is None:
-            return await self._handle(message, peer)
         kind = message.get("kind") if isinstance(message, dict) else None
         request_id = message.get("id") if isinstance(message, dict) else None
         with _obs.span("server.request", kind=str(kind), peer=peer) as root:
@@ -482,7 +479,7 @@ class DecompositionService:
             # Chaos window: the flight exists, nothing has run yet — a
             # leader failing here must fail every follower with a typed
             # error and retire the key cleanly.
-            faults.fire("server.compute.start", key=key)
+            _obs.fire("server.compute.start", key=key)
             if self.cache is not None:
                 hit = self.cache.get(key)
                 if hit is not None:
@@ -501,7 +498,7 @@ class DecompositionService:
             self.stats["computed"] += 1
             # Chaos window: the fleet replied ok but nothing reached the
             # cache — a failure here must not leave a partial entry.
-            faults.fire("server.compute.computed", key=key)
+            _obs.fire("server.compute.computed", key=key)
             if worker_func is service_netsyn:
                 self.pool.merge(reply.get("pool"))
             if self.cache is not None:

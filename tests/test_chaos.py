@@ -22,12 +22,13 @@ import signal
 
 import pytest
 
+from repro import obs
 from repro.benchgen.registry import load_benchmark
 from repro.engine import wire
 from repro.engine.cache import ResultCache
+from repro.engine.decomposer import Decomposer
+from repro.obs import FaultEvent, FaultPlan, InjectedFault
 from repro.service import DecompositionService
-from repro.service import faults
-from repro.service.faults import FaultEvent, FaultPlan, InjectedFault
 
 from tests.test_service import (
     INFORMATIONAL_RESULT_KEYS,
@@ -109,8 +110,8 @@ def test_generate_is_seeded_and_deterministic():
     assert first.events == second.events
     assert first.events != FaultPlan.generate(8).events
     for event in first.events:
-        assert event.site in faults.KNOWN_SITES
-        assert event.action in faults.GENERATED_ACTIONS  # never "crash"
+        assert event.site in obs.SITES
+        assert event.action in obs.GENERATED_ACTIONS  # never "crash"
 
 
 def test_events_fire_at_their_hit_and_only_once():
@@ -125,22 +126,22 @@ def test_events_fire_at_their_hit_and_only_once():
 
 
 def test_fire_is_a_noop_without_an_installed_plan():
-    faults.uninstall()
-    faults.fire("anywhere", slot=None)  # must not raise
-    assert faults.active() is None
+    obs.uninstall()
+    obs.fire("anywhere", slot=None)  # must not raise
+    assert obs.active_plan() is None
 
 
 def test_installed_context_restores_previous_plan():
     outer = FaultPlan()
-    faults.install(outer)
+    obs.install(outer)
     try:
         inner = FaultPlan()
-        with faults.installed(inner) as active:
+        with obs.installed(inner) as active:
             assert active is inner
-            assert faults.active() is inner
-        assert faults.active() is outer
+            assert obs.active_plan() is inner
+        assert obs.active_plan() is outer
     finally:
-        faults.uninstall()
+        obs.uninstall()
 
 
 def test_crash_action_is_inert_unless_armed():
@@ -159,9 +160,20 @@ def test_slot_actions_without_slot_context_are_noops():
 
 
 def test_unknown_action_raises():
-    plan = FaultPlan((FaultEvent("s", 0, "set-on-fire"),))
-    with pytest.raises(ValueError):
-        plan.fire("s")
+    # Rejected when the plan is built, not when its site is reached
+    # inside a served request.
+    with pytest.raises(ValueError, match="set-on-fire"):
+        FaultPlan((FaultEvent("s", 0, "set-on-fire"),))
+
+
+def test_span_sites_fire_the_plan_with_tracing_off(z4):
+    plan = FaultPlan((FaultEvent("engine.minimize", 0, "error"),))
+    assert obs.active() is None
+    with obs.installed(plan):
+        with pytest.raises(InjectedFault):
+            Decomposer().decompose(z4.outputs[0], "AND")
+    assert plan.log == [("engine.minimize", 0, "error")]
+    assert obs.active_plan() is None
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +184,7 @@ def test_unknown_action_raises():
 def _chaos_run(plan_factory, z4, expected_payloads, count=8, **service_kwargs):
     """One full chaos run: install plan → build service → drive → report."""
     plan = plan_factory()
-    with faults.installed(plan):
+    with obs.installed(plan):
         # Install BEFORE the fleet forks so workers inherit the plan —
         # that is how worker.compute events reach the far side.
         service = DecompositionService(jobs=1, **service_kwargs)
@@ -272,6 +284,28 @@ def test_cache_write_crash_plan_fails_typed_and_recovers(
     assert service.cache.stats["corrupt"] == 0
 
 
+#: ``FaultPlan.generate(seed, n_events=3, max_hit=5)`` for the chaos
+#: seeds.  Span-only sites in the default site set draw no events, so
+#: adding one must not move a generated schedule.
+GOLDEN_SCHEDULES = {
+    11: (
+        FaultEvent("worker.compute", 0, "sleep", 0.05),
+        FaultEvent("server.compute.start", 1, "error"),
+        FaultEvent("fleet.call.sent", 3, "drop-pipe"),
+    ),
+    23: (
+        FaultEvent("worker.compute", 2, "sleep", 0.05),
+        FaultEvent("worker.compute", 4, "error"),
+        FaultEvent("coalesce.flight", 3, "error"),
+    ),
+    47: (
+        FaultEvent("fleet.call.sent", 2, "kill-worker"),
+        FaultEvent("fleet.call.sent", 0, "kill-worker"),
+        FaultEvent("worker.compute", 0, "sleep", 0.05),
+    ),
+}
+
+
 @pytest.mark.parametrize("seed", (11, 23, 47))
 def test_generated_plans_replay_deterministically(seed, z4, expected_payloads):
     # The general form of the guarantee: ANY seeded schedule replays to
@@ -279,6 +313,7 @@ def test_generated_plans_replay_deterministically(seed, z4, expected_payloads):
     def plan_factory():
         return FaultPlan.generate(seed, n_events=3, max_hit=5)
 
+    assert plan_factory().events == GOLDEN_SCHEDULES[seed]
     first, first_log, _ = _chaos_run(
         plan_factory, z4, expected_payloads, count=6, timeout_s=30.0
     )
@@ -309,7 +344,7 @@ def test_leader_failure_is_shared_typed_and_does_not_poison_the_key(
             wire.svc_request("decompose", item, f"d{i}") for i in range(3)
         ]
         plan = FaultPlan((FaultEvent(site, 0, "error"),))
-        with faults.installed(plan):
+        with obs.installed(plan):
             replies = drive(service, envelopes)
         # The flight failed once; leader AND both attached followers all
         # see the same typed error (one computation, one failure).
@@ -342,7 +377,7 @@ def test_coalesce_flight_fault_fails_only_the_would_be_leader(z4):
             wire.svc_request("decompose", item, f"d{i}") for i in range(3)
         ]
         plan = FaultPlan((FaultEvent("coalesce.flight", 0, "error"),))
-        with faults.installed(plan):
+        with obs.installed(plan):
             replies = drive(service, envelopes)
         failures = [reply for reply in replies if not reply["ok"]]
         successes = [reply for reply in replies if reply["ok"]]
@@ -372,7 +407,7 @@ CRASH_SITES = (
 def _crash_child(cache_dir: str, site: str) -> None:
     """Sacrificial child: commit one entry, SIGKILL mid-write of the next."""
     plan = FaultPlan((FaultEvent(site, 1, "crash"),)).arm_crashes()
-    faults.install(plan)
+    obs.install(plan)
     cache = ResultCache(cache_dir)
     cache.put(KEY_COMMITTED, {"v": "committed"})  # site hit 0: clean
     cache.put(KEY_INFLIGHT, {"v": "inflight"})  # site hit 1: SIGKILL
@@ -414,7 +449,7 @@ def test_interrupted_put_leaves_replayable_journal(tmp_path):
     # journal commit and watch the next open replay it.
     cache = ResultCache(tmp_path)
     plan = FaultPlan((FaultEvent("cache.put.journaled", 0, "error"),))
-    with faults.installed(plan):
+    with obs.installed(plan):
         with pytest.raises(InjectedFault):
             cache.put(KEY_COMMITTED, {"v": 7})
     assert cache.get(KEY_COMMITTED) is None  # entry never landed

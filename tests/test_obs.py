@@ -26,15 +26,16 @@ from repro.benchgen.registry import load_benchmark
 from repro.engine import wire
 from repro.obs import (
     DEFAULT_BUCKETS,
+    FaultEvent,
+    FaultPlan,
     LatencyHistograms,
     TraceStore,
     Tracer,
     chrome_trace,
     validate_chrome_trace,
 )
-from repro.obs.trace import SPAN_SITES, STATUSES
-from repro.service import DecompositionService, faults, render_prometheus
-from repro.service.faults import FaultEvent, FaultPlan
+from repro.obs.trace import SITES, STATUSES
+from repro.service import DecompositionService, render_prometheus
 from repro.service.metrics import render_histograms
 
 from tests.test_chaos import drive_sequential
@@ -172,6 +173,19 @@ def test_remote_scope_grafts_spans_under_a_shipped_parent():
     assert compute["parent_id"] == parent.span_id
 
 
+def test_absorb_respects_the_capacity_bound():
+    tracer = Tracer(capacity=2)
+    tracer.absorb(
+        {"trace_id": f"t-{index}", "span_id": f"s-{index}", "site": "worker.compute"}
+        for index in range(50)
+    )
+    stats = tracer.stats()
+    assert stats["traces_buffered"] == 2
+    assert stats["traces_dropped"] == 48
+    assert tracer.pop_trace("t-49") != []  # the newest traces survive
+    assert tracer.pop_trace("t-0") == []
+
+
 def test_absorb_merges_remote_spans_and_ignores_junk():
     with obs.installed() as tracer:
         with obs.span("server.request") as root:
@@ -192,17 +206,20 @@ def test_absorb_merges_remote_spans_and_ignores_junk():
     assert {s["site"] for s in spans} == {"server.request", "worker.compute"}
 
 
-def test_installed_is_scoped_and_restores_nothing():
-    outer = Tracer()
+def test_installed_is_scoped_and_restores_the_previous_tracer():
+    outer, inner = Tracer(), Tracer()
     with obs.installed(outer) as active:
         assert active is outer
+        assert obs.active() is outer
+        with obs.installed(inner):
+            assert obs.active() is inner
         assert obs.active() is outer
     assert obs.active() is None
 
 
 def test_span_sites_registry_is_documentation_quality():
-    assert len(SPAN_SITES) == len(set(SPAN_SITES))
-    for site in SPAN_SITES:
+    assert len(SITES) == len(set(SITES))
+    for site in SITES:
         layer, _, name = site.partition(".")
         assert layer and name, site
 
@@ -559,7 +576,7 @@ def test_junk_probe_params_fail_with_typed_bad_request(kind, params, fragment):
 def test_injected_worker_error_marks_the_root_span(z4):
     plan = FaultPlan((FaultEvent("worker.compute", 0, "error"),))
     with obs.installed():
-        with faults.installed(plan):
+        with obs.installed(plan):
             service = DecompositionService(jobs=1)
             try:
                 replies = drive_sequential(
@@ -585,7 +602,7 @@ def test_injected_worker_error_marks_the_root_span(z4):
 def test_timed_out_request_marks_root_and_roundtrip_spans(z4):
     plan = FaultPlan((FaultEvent("worker.compute", 0, "sleep", param=30.0),))
     with obs.installed():
-        with faults.installed(plan):
+        with obs.installed(plan):
             service = DecompositionService(jobs=1)
             try:
                 reply = drive_sequential(
@@ -607,7 +624,7 @@ def test_timed_out_request_marks_root_and_roundtrip_spans(z4):
 def test_killed_worker_is_retried_inside_the_same_trace(z4):
     plan = FaultPlan((FaultEvent("fleet.call.sent", 0, "kill-worker"),))
     with obs.installed():
-        with faults.installed(plan):
+        with obs.installed(plan):
             service = DecompositionService(jobs=1)
             try:
                 reply = drive_sequential(
