@@ -95,9 +95,12 @@ class ComputedTable:
     def put(self, key, value) -> None:
         data = self.data
         if len(data) >= self.capacity:
-            for old in list(islice(data, self.capacity // 2)):
+            # At least one entry goes, so a table of capacity < 2 is
+            # bounded too.
+            victims = list(islice(data, max(1, self.capacity // 2)))
+            for old in victims:
                 del data[old]
-            self.evictions += self.capacity // 2
+            self.evictions += len(victims)
         data[key] = value
 
     def clear(self) -> None:

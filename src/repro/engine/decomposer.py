@@ -243,48 +243,62 @@ class Decomposer:
         wire round trip (covers and metrics are representation-free and
         pass through), so callers always receive results in the manager
         they asked in, identical to what the native path would produce.
+
+        A bitset shadow's memo tables hold full ``2^n``-bit truth tables
+        and pay off only within one function's computation, so they are
+        cleared when the request ends (also when it raises), as the
+        harness clears its dense manager after every output.  The shadow
+        itself and the engine's divisor/cover memos stay warm.
         """
         from repro.core.bidecomposition import BiDecomposition
 
         shadow = self._shadow_manager(target, request.f.mgr.var_names)
-        converted = ISF(
-            transfer(request.f.on, shadow), transfer(request.f.dc, shadow)
-        )
-        approx = request.approximator
-        if isinstance(approx, BooleanFunction):
-            approx = transfer(approx, shadow)
-        elif isinstance(approx, Divisor):
-            approx = Divisor(
-                g=transfer(approx.g, shadow),
-                g_cover=approx.g_cover,
-                name=approx.name,
+        try:
+            converted = ISF(
+                transfer(request.f.on, shadow), transfer(request.f.dc, shadow)
             )
-        inner = replace(request, f=converted, approximator=approx, backend=target)
-        computed = self._run_native(inner)
-        inner_dec = computed.decomposition
-        mgr = request.f.mgr
-        decomposition = BiDecomposition(
-            f=request.f,
-            op=inner_dec.op,
-            g=transfer(inner_dec.g, mgr),
-            h=ISF(transfer(inner_dec.h.on, mgr), transfer(inner_dec.h.dc, mgr)),
-            g_cover=inner_dec.g_cover,
-            h_cover=inner_dec.h_cover,
-            metadata=dict(inner_dec.metadata),
-        )
-        return DecomposeResult(
-            decomposition=decomposition,
-            request=request,
-            op_name=computed.op_name,
-            approximator_name=computed.approximator_name,
-            minimizer_name=computed.minimizer_name,
-            timings=computed.timings,
-            literal_cost=computed.literal_cost,
-            error_rate=computed.error_rate,
-            verified=computed.verified,
-            candidates=computed.candidates,
-            bdd_stats=computed.bdd_stats,
-        )
+            approx = request.approximator
+            if isinstance(approx, BooleanFunction):
+                approx = transfer(approx, shadow)
+            elif isinstance(approx, Divisor):
+                approx = Divisor(
+                    g=transfer(approx.g, shadow),
+                    g_cover=approx.g_cover,
+                    name=approx.name,
+                )
+            inner = replace(
+                request, f=converted, approximator=approx, backend=target
+            )
+            computed = self._run_native(inner)
+            inner_dec = computed.decomposition
+            mgr = request.f.mgr
+            decomposition = BiDecomposition(
+                f=request.f,
+                op=inner_dec.op,
+                g=transfer(inner_dec.g, mgr),
+                h=ISF(
+                    transfer(inner_dec.h.on, mgr), transfer(inner_dec.h.dc, mgr)
+                ),
+                g_cover=inner_dec.g_cover,
+                h_cover=inner_dec.h_cover,
+                metadata=dict(inner_dec.metadata),
+            )
+            return DecomposeResult(
+                decomposition=decomposition,
+                request=request,
+                op_name=computed.op_name,
+                approximator_name=computed.approximator_name,
+                minimizer_name=computed.minimizer_name,
+                timings=computed.timings,
+                literal_cost=computed.literal_cost,
+                error_rate=computed.error_rate,
+                verified=computed.verified,
+                candidates=computed.candidates,
+                bdd_stats=computed.bdd_stats,
+            )
+        finally:
+            if target == "bitset":
+                shadow.clear_caches()
 
     def _shadow_manager(self, target: str, var_names: tuple[str, ...]):
         key = (target, tuple(var_names))

@@ -12,7 +12,10 @@ globals:
   its nodes;
 * :class:`~repro.engine.decomposer.Decomposer` engines keyed by
   :func:`~repro.engine.parallel.engine_spec_key`, so divisor/cover
-  memos survive across requests;
+  memos and the engines' shadow managers survive across requests (a
+  bitset shadow's dense memo tables, full ``2^n``-bit truth tables, are
+  cleared as each request ends — they pay off only within one
+  function's computation);
 * :class:`~repro.netsyn.synthesis.NetworkSynthesizer` instances keyed
   by their (hashable, frozen) :class:`~repro.netsyn.synthesis.NetsynConfig`,
   plus loaded benchmark instances by name.

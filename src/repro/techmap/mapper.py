@@ -14,6 +14,7 @@ the total area and the chosen cover for inspection.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.techmap.genlib import Gate, GateLibrary
@@ -94,40 +95,52 @@ def _match(
 def map_network_for_area(
     network: LogicNetwork, library: GateLibrary
 ) -> MappingResult:
-    """Map a network onto the library, minimizing total area."""
+    """Map a network onto the library, minimizing total area.
+
+    Iterative throughout, so a left-deep chain of any length (the OR of
+    a wide cover) maps without recursing: the nodes reachable from the
+    outputs are solved in id order, which is topological because fanins
+    are created before their users, and the chosen cover is collected
+    with an explicit stack.
+    """
+    nodes = network.nodes
     fanouts = network.fanout_counts()
     roots = {
         node_id
-        for node_id, node in enumerate(network.nodes)
+        for node_id, node in enumerate(nodes)
         if node.kind not in ("input",) and fanouts[node_id] > 1
     }
     roots |= set(network.outputs.values())
 
-    best_cost: dict[int, float] = {}
-    best_choice: dict[int, MappedGate | None] = {}
+    # Library gates by the node kind their pattern root can match, in
+    # library order; buffers match anything and add no logic.
+    gates_by_kind: dict[str, list[Gate]] = {}
+    for gate in library:
+        kind = gate.pattern[0]
+        if kind == "var":
+            continue
+        if kind == "const":
+            kind = "const1" if gate.pattern[1] else "const0"
+        gates_by_kind.setdefault(kind, []).append(gate)
 
-    def cost_of_leaf(node_id: int) -> float:
-        node = network.nodes[node_id]
-        if node.kind == "input":
-            return 0.0
-        return solve(node_id)
+    reachable = [False] * len(nodes)
+    for node_id in network.outputs.values():
+        reachable[node_id] = True
+    for node_id in range(len(nodes) - 1, -1, -1):
+        if reachable[node_id]:
+            for fanin in nodes[node_id].fanins:
+                reachable[fanin] = True
 
-    def solve(node_id: int) -> float:
-        cached = best_cost.get(node_id)
-        if cached is not None:
-            return cached
-        node = network.nodes[node_id]
-        if node.kind == "input":
-            best_cost[node_id] = 0.0
-            best_choice[node_id] = None
-            return 0.0
+    best_cost = [0.0] * len(nodes)
+    best_choice: list[MappedGate | None] = [None] * len(nodes)
+    for node_id, node in enumerate(nodes):
+        if not reachable[node_id] or node.kind == "input":
+            continue
         best = float("inf")
         chosen: MappedGate | None = None
-        for gate in library:
-            if gate.pattern[0] == "var":
-                continue  # buffers match anything and add no logic
+        for gate in gates_by_kind.get(node.kind, ()):
             for leaves in _match(network, gate.pattern, node_id, True, roots, []):
-                cost = gate.area + sum(cost_of_leaf(leaf) for leaf in leaves)
+                cost = gate.area + sum(best_cost[leaf] for leaf in leaves)
                 if cost < best:
                     best = cost
                     chosen = MappedGate(gate, node_id, tuple(leaves))
@@ -137,44 +150,42 @@ def map_network_for_area(
             )
         best_cost[node_id] = best
         best_choice[node_id] = chosen
-        return best
 
     # Total area: each cone root is mapped once; leaf costs below other
     # roots are counted at those roots, so sum roots' *local* gate areas.
+    # A cone root met as a leaf is collected on the spot, before the
+    # rest of the current cone (one frame per open cone), which keeps
+    # the summation order — and so the float total — fixed.
     total = 0.0
     gates: list[MappedGate] = []
     visited: set[int] = set()
+    frames: list[tuple[list[MappedGate], Iterator[int]]] = []
 
-    def collect(node_id: int) -> None:
-        nonlocal total
+    def open_cone(node_id: int) -> None:
         if node_id in visited:
             return
         visited.add(node_id)
-        node = network.nodes[node_id]
-        if node.kind == "input":
-            return
-        solve(node_id)
-        choice = best_choice[node_id]
-        stack = [choice]
-        while stack:
-            mapped = stack.pop()
-            if mapped is None:
-                continue
-            total += mapped.gate.area
-            gates.append(mapped)
-            for leaf in mapped.leaves:
-                leaf_node = network.nodes[leaf]
-                if leaf_node.kind == "input":
-                    continue
-                if leaf in roots:
-                    collect(leaf)
-                else:
-                    stack.append(best_choice.get(leaf) or _solve_into(leaf))
-
-    def _solve_into(node_id: int) -> MappedGate | None:
-        solve(node_id)
-        return best_choice[node_id]
+        if nodes[node_id].kind != "input":
+            frames.append(([best_choice[node_id]], iter(())))
 
     for output_root in set(network.outputs.values()):
-        collect(output_root)
+        open_cone(output_root)
+        while frames:
+            pending, leaves = frames[-1]
+            leaf = next(leaves, None)
+            if leaf is not None:
+                if nodes[leaf].kind == "input":
+                    continue
+                if leaf in roots:
+                    open_cone(leaf)
+                else:
+                    pending.append(best_choice[leaf])
+                continue
+            if not pending:
+                frames.pop()
+                continue
+            mapped = pending.pop()
+            total += mapped.gate.area
+            gates.append(mapped)
+            frames[-1] = (pending, iter(mapped.leaves))
     return MappingResult(area=total, gates=gates)

@@ -67,11 +67,12 @@ class TestComplementedEdges:
 
 
 class TestComputedTables:
-    def test_bounded_eviction(self):
-        table = ComputedTable(8)
+    @pytest.mark.parametrize("capacity", [1, 2, 8])
+    def test_bounded_eviction(self, capacity):
+        table = ComputedTable(capacity)
         for key in range(20):
             table.put(key, key)
-        assert len(table.data) <= 8
+        assert len(table.data) <= max(capacity, 1)
         assert table.evictions > 0
         # Newest entries survive the batch eviction.
         assert 19 in table.data

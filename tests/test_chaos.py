@@ -23,6 +23,7 @@ import signal
 import pytest
 
 from repro import obs
+from repro.backend import backend_of
 from repro.benchgen.registry import load_benchmark
 from repro.engine import wire
 from repro.engine.cache import ResultCache
@@ -174,6 +175,30 @@ def test_span_sites_fire_the_plan_with_tracing_off(z4):
             Decomposer().decompose(z4.outputs[0], "AND")
     assert plan.log == [("engine.minimize", 0, "error")]
     assert obs.active_plan() is None
+
+
+def _bitset_product_entries(engine):
+    sizes = [
+        shadow.computed_table("product").stats()["size"]
+        for shadow in engine._shadow_managers.values()
+        if backend_of(shadow) == "bitset"
+    ]
+    assert sizes, "no bitset shadow was used"
+    return sum(sizes)
+
+
+def test_failed_request_still_clears_the_bitset_shadow_memo(z4):
+    # The dense product memo is scoped to one request, also one that
+    # raises mid-pipeline; the next request must leave it empty too.
+    engine = Decomposer()
+    plan = FaultPlan((FaultEvent("engine.minimize", 0, "error"),))
+    with obs.installed(plan):
+        with pytest.raises(InjectedFault):
+            engine.decompose(z4.outputs[0], "AND")
+    assert _bitset_product_entries(engine) == 0
+    result = engine.decompose(z4.outputs[0], "auto")
+    assert result.verified
+    assert _bitset_product_entries(engine) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cover.cover import Cover
+from repro.cover.cube import Cube
 from repro.spp.pseudocube import Pseudocube, make_xor_factor
 from repro.spp.spp_cover import SppCover
 from repro.techmap.area import (
@@ -147,3 +148,11 @@ def test_map_network_default_library():
     net = LogicNetwork(["a", "b"])
     net.set_output("f", net.binary("and", net.input_id("a"), net.input_id("b")))
     assert map_network(net).area == default_library()["and2"].area
+
+
+def test_wide_cover_maps_without_recursion():
+    # 400 products make a left-deep OR chain far deeper than the default
+    # recursion limit; the mapper must walk it iteratively.
+    cubes = [Cube.from_minterm(12, m) for m in range(0, 4096, 7)][:400]
+    names = [f"x{i}" for i in range(12)]
+    assert area_of_covers([Cover(12, cubes)], names) == 7037.0

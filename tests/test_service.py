@@ -14,12 +14,15 @@ import json
 
 import pytest
 
+from repro.backend import backend_of
+from repro.bdd.manager import BDD
 from repro.bdd.serialize import canonical_hash
 from repro.benchgen.registry import load_benchmark
+from repro.boolfunc.isf import ISF
 from repro.core.operators import EXPERIMENT_OPERATORS
 from repro.engine import wire
 from repro.engine.decomposer import Decomposer
-from repro.engine.parallel import make_work_item
+from repro.engine.parallel import decompose_item, make_work_item
 from repro.netsyn.synthesis import NetsynConfig, synthesize_instance
 from repro.service import (
     Coalescer,
@@ -32,7 +35,9 @@ from repro.service import (
     WorkerFleet,
     render_prometheus,
 )
+from repro.service import fleet
 from repro.service.fleet import _worker_ident, service_sleep
+from repro.utils.rng import make_rng
 
 INFORMATIONAL_RESULT_KEYS = frozenset(("timings", "bdd_stats"))
 INFORMATIONAL_NETSYN_KEYS = frozenset(("pool_stats", "engine_stats", "time_s"))
@@ -324,6 +329,55 @@ def test_cache_persists_across_service_restarts(z4, tmp_path):
         assert second.stats["cache_hits"] == 1
     finally:
         second.close()
+
+
+def _clustered_isf(n_vars: int, seed: str) -> ISF:
+    """A few random products over ``n_vars`` inputs (bitset-eligible)."""
+    rng = make_rng(seed)
+    mgr = BDD([f"x{i + 1}" for i in range(n_vars)])
+    on = mgr.false
+    for _ in range(6):
+        pos = neg = 0
+        for var in rng.sample(range(n_vars), n_vars // 2):
+            if rng.random() < 0.5:
+                pos |= 1 << var
+            else:
+                neg |= 1 << var
+        on = on | mgr.product(pos, neg)
+    return ISF.completely_specified(on)
+
+
+def test_warm_worker_keeps_no_dense_memo_between_requests(monkeypatch):
+    # A warm fleet worker's engine converts these BDD requests into
+    # bitset shadows; their product memos (full 2^n-bit truth tables)
+    # are scoped to one request, while the payloads stay what a cold
+    # run computes.
+    # A fresh, empty copy of the worker's warm state for this process.
+    monkeypatch.setattr(
+        fleet, "_WARM", {key: type(value)() for key, value in fleet._WARM.items()}
+    )
+    items = [
+        work_item(_clustered_isf(n_vars, f"warm-shadow-{n_vars}"), f"w{n_vars}")
+        for n_vars in (14, 15, 16)
+    ]
+    for item in items:
+        reply = fleet.service_decompose(item)
+        assert reply["ok"], reply
+        assert stripped(reply["payload"], INFORMATIONAL_RESULT_KEYS) == stripped(
+            decompose_item(item), INFORMATIONAL_RESULT_KEYS
+        )
+    (engine,) = fleet._WARM["engines"].values()
+    shadows = [
+        shadow
+        for shadow in engine._shadow_managers.values()
+        if backend_of(shadow) == "bitset"
+    ]
+    assert len(shadows) == 3
+    assert [s.computed_table("product").stats()["size"] for s in shadows] == [
+        0,
+        0,
+        0,
+    ]
 
 
 def test_malformed_and_failing_requests_become_error_envelopes():
